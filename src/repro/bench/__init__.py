@@ -25,18 +25,9 @@ class fast path rather than a slow method-call loop.  A third scenario
 partner from the opposite behavioural corner on disjoint SM partitions
 (:func:`repro.sim.multikernel.bench_coschedule`), timing the
 partitioned work-distribution path and cross-partition memory
-contention.  A fourth scenario (rows keyed ``<kernel>@batch``) runs a
-16-key controller sweep through the batched backend
-(:mod:`repro.sim.batch`) and records its throughput next to the same
-sweep run as sequential in-process jobs
-(``speedup_vs_sequential``).  A fifth scenario (rows keyed
-``<kernel>@vector``) runs the chip-wide GPU through the vectorized
-busy-slot backend (:mod:`repro.sim.vector`), which opportunistically
-executes fill-free ALU span bursts through numpy; the plain ``chip``
-rows are pinned to the scalar loop so the pair measures exactly the
-backend swap.  Two controller scenarios (rows keyed ``<kernel>@ccws``
-and ``<kernel>@dyncta``) time the third-party baselines on the scalar
-chip GPU: CCWS installs ``sm.hooks`` and therefore runs the
+contention.  Two controller scenarios (rows keyed ``<kernel>@ccws``
+and ``<kernel>@dyncta``) time the third-party baselines on the chip
+GPU: CCWS installs ``sm.hooks`` and therefore runs the
 hook-bearing compiled loop variant, DynCTA churns occupancy through
 the inlined GWDE launch/retire fragments -- together they price the
 two specialization axes next to the hook-free ``chip`` rows.
@@ -90,13 +81,6 @@ MULTIKERNEL_SUFFIX = "@multikernel"
 MULTIKERNEL_KERNELS: Tuple[str, ...] = tuple(
     k for _, k in REPRESENTATIVE_KERNELS)
 
-#: Row-key suffix of the batched-sweep scenario rows.
-BATCH_SUFFIX = "@batch"
-
-#: Kernels timed as a batched controller sweep.
-BATCH_KERNELS: Tuple[str, ...] = tuple(
-    k for _, k in REPRESENTATIVE_KERNELS)
-
 #: Row-key suffix of the CCWS (hook-bearing loop variant) rows.
 CCWS_SUFFIX = "@ccws"
 
@@ -114,45 +98,6 @@ DYNCTA_SUFFIX = "@dyncta"
 #: through the inlined GWDE fragments while staying hook-free.
 DYNCTA_KERNELS: Tuple[str, ...] = tuple(
     k for _, k in REPRESENTATIVE_KERNELS)
-
-#: Row-key suffix of the vectorized busy-slot backend rows.
-VECTOR_SUFFIX = "@vector"
-
-#: Kernels timed on the vectorized backend (skipped without numpy:
-#: the fallback is bit-for-bit the chip loop, so the row would just
-#: duplicate the ``chip`` row).
-VECTOR_KERNELS: Tuple[str, ...] = tuple(
-    k for _, k in REPRESENTATIVE_KERNELS)
-
-
-def batch_sweep_keys() -> Tuple[Tuple, ...]:
-    """The deterministic 16-key controller sweep the ``@batch`` rows run.
-
-    One lane per controller family the experiment suite sweeps:
-    baseline, the four single-domain static VF corners plus both
-    double corners, two block-capped statics, all four Equalizer
-    configurations, and the three third-party baselines.
-    """
-    from ..config import VF_HIGH, VF_LOW, VF_NORMAL
-    return (
-        ("baseline",),
-        ("static", VF_HIGH, VF_NORMAL, None),
-        ("static", VF_LOW, VF_NORMAL, None),
-        ("static", VF_NORMAL, VF_HIGH, None),
-        ("static", VF_NORMAL, VF_LOW, None),
-        ("static", VF_HIGH, VF_HIGH, None),
-        ("static", VF_LOW, VF_LOW, None),
-        ("static", VF_NORMAL, VF_NORMAL, 4),
-        ("static", VF_NORMAL, VF_NORMAL, 8),
-        ("equalizer", "performance"),
-        ("equalizer", "energy"),
-        ("equalizer", "performance", "blocks-only"),
-        ("equalizer", "energy", "blocks-only"),
-        ("dyncta",),
-        ("ccws",),
-        ("boost",),
-    )
-
 
 class BenchError(ReproError):
     """A benchmark run or comparison failed."""
@@ -189,27 +134,25 @@ def bench_kernel(name: str, scale: float = 1.0, repeats: int = 1,
     """Time one kernel end to end; return its result row.
 
     ``variant`` selects the GPU under test: ``"chip"`` runs the
-    standard chip-wide-VRM GPU pinned to the scalar loop,
-    ``"vector"`` the same GPU through the vectorized busy-slot
-    backend, ``"per-sm-vrm"`` the per-SM-VRM variant with the per-SM
-    Equalizer controller in performance mode, ``"multikernel"``
-    co-schedules the kernel with its bench partner on disjoint SM
-    partitions of the chip-wide GPU, and ``"ccws"`` / ``"dyncta"``
-    run the scalar chip GPU under the matching third-party baseline
-    controller (hook-bearing loop variant and GWDE launch/retire
-    churn respectively).  Each
-    repeat rebuilds the workload (programs are stateful iterators)
-    and re-runs the full simulation; the reported wall time is the best
-    of the repeats, which is the standard way to shave scheduler noise
-    off a deterministic benchmark.
+    standard chip-wide-VRM GPU, ``"per-sm-vrm"`` the per-SM-VRM
+    variant with the per-SM Equalizer controller in performance mode,
+    ``"multikernel"`` co-schedules the kernel with its bench partner
+    on disjoint SM partitions of the chip-wide GPU, and ``"ccws"`` /
+    ``"dyncta"`` run the chip GPU under the matching third-party
+    baseline controller (hook-bearing loop variant and GWDE
+    launch/retire churn respectively).  Each repeat rebuilds the
+    workload (programs are stateful iterators) and re-runs the full
+    simulation; the reported wall time is the best of the repeats,
+    which is the standard way to shave scheduler noise off a
+    deterministic benchmark.
     """
-    from ..sim.gpu import GPU, run_kernel
+    from ..sim.gpu import run_kernel
     from ..workloads import build_workload, kernel_by_name
 
     if repeats < 1:
         raise BenchError("repeats must be >= 1")
-    if variant not in ("chip", "vector", "per-sm-vrm", "multikernel",
-                       "ccws", "dyncta"):
+    if variant not in ("chip", "per-sm-vrm", "multikernel", "ccws",
+                       "dyncta"):
         raise BenchError(f"unknown bench variant {variant!r}")
     if sim is None:
         from ..experiments.common import default_sim
@@ -222,27 +165,18 @@ def bench_kernel(name: str, scale: float = 1.0, repeats: int = 1,
     for _ in range(repeats):
         if variant == "multikernel":
             from ..sim.multikernel import bench_coschedule
-            # bench_coschedule scales its specs itself.  Pinned
-            # scalar like "chip": the row predates the vector
-            # backend and keeps measuring the scalar loop.
+            # bench_coschedule scales its specs itself.
             workload = bench_coschedule(name, sim.gpu.sm_count,
                                         scale=scale, seed=sim.seed)
             start = time.perf_counter()
-            run = run_kernel(workload, sim, gpu_class=GPU)
+            run = run_kernel(workload, sim)
         elif variant == "chip":
             workload = build_workload(spec, seed=sim.seed)
             start = time.perf_counter()
-            run = run_kernel(workload, sim, gpu_class=GPU)
-        elif variant == "vector":
-            from ..sim.vector import VectorGPU
-            workload = build_workload(spec, seed=sim.seed)
-            start = time.perf_counter()
-            run = run_kernel(workload, sim, gpu_class=VectorGPU)
+            run = run_kernel(workload, sim)
         elif variant in ("ccws", "dyncta"):
             # A fresh controller per repeat (both accumulate per-run
-            # state at attach time), pinned to the scalar chip GPU so
-            # the row measures the compiled-loop variant the
-            # controller selects, not the vector backend.
+            # state at attach time).
             if variant == "ccws":
                 from ..baselines.ccws import CCWSController
                 controller = CCWSController()
@@ -251,8 +185,7 @@ def bench_kernel(name: str, scale: float = 1.0, repeats: int = 1,
                 controller = DynCTAController()
             workload = build_workload(spec, seed=sim.seed)
             start = time.perf_counter()
-            run = run_kernel(workload, sim, controller=controller,
-                             gpu_class=GPU)
+            run = run_kernel(workload, sim, controller=controller)
         else:
             from ..sim.per_sm_vrm import (PerSMEqualizerController,
                                           run_kernel_per_sm_vrm)
@@ -276,60 +209,6 @@ def bench_kernel(name: str, scale: float = 1.0, repeats: int = 1,
         "ticks": ticks,
         "wall_s": round(best, 6),
         "ticks_per_sec": round(ticks / best, 1),
-    }
-
-
-def bench_batch_sweep(name: str, scale: float = 1.0, repeats: int = 1,
-                      sim=None) -> Dict:
-    """Time a 16-key controller sweep of one kernel, batched.
-
-    The row measures what the batched backend is for: a whole sweep
-    (:func:`batch_sweep_keys`) stepped through one process by
-    :func:`repro.engine.execute_batch_group`, against the same sweep
-    run as sequential in-process :func:`repro.engine.execute_job`
-    calls -- the work a one-job-per-worker engine fan-out does, minus
-    the per-process interpreter start-up and import cost that batching
-    additionally amortises (~0.25 s/job on this substrate).  Both
-    sides are timed cold each repeat and the best wall time wins;
-    ``ticks`` is the total across lanes and is checked deterministic.
-    """
-    from ..engine.executor import execute_batch_group, execute_job
-
-    if repeats < 1:
-        raise BenchError("repeats must be >= 1")
-    if sim is None:
-        from ..experiments.common import default_sim
-        sim = default_sim()
-    keys = batch_sweep_keys()
-    best = None
-    seq_best = None
-    ticks = None
-    for _ in range(repeats):
-        start = time.perf_counter()
-        pairs = execute_batch_group(name, list(keys), scale, sim)
-        wall = time.perf_counter() - start
-        total = sum(r.result.ticks for r, _ in pairs)
-        if ticks is None:
-            ticks = total
-        elif ticks != total:
-            raise BenchError(
-                f"{name}{BATCH_SUFFIX}: nondeterministic tick count "
-                f"({ticks} vs {total})")
-        if best is None or wall < best:
-            best = wall
-        start = time.perf_counter()
-        for key in keys:
-            execute_job(name, key, scale, sim)
-        seq_wall = time.perf_counter() - start
-        if seq_best is None or seq_wall < seq_best:
-            seq_best = seq_wall
-    return {
-        "ticks": ticks,
-        "wall_s": round(best, 6),
-        "ticks_per_sec": round(ticks / best, 1),
-        "lanes": len(keys),
-        "seq_wall_s": round(seq_best, 6),
-        "speedup_vs_sequential": round(seq_best / best, 3),
     }
 
 
@@ -359,10 +238,6 @@ def run_suite(kernels: Optional[List[str]] = None, scale: float = 1.0,
                                variant="multikernel")
             row["role"] = "multikernel"
             rows[name + MULTIKERNEL_SUFFIX] = row
-        for name in BATCH_KERNELS:
-            row = bench_batch_sweep(name, scale=scale, repeats=repeats)
-            row["role"] = "batch"
-            rows[name + BATCH_SUFFIX] = row
         for name in CCWS_KERNELS:
             row = bench_kernel(name, scale=scale, repeats=repeats,
                                variant="ccws")
@@ -373,13 +248,6 @@ def run_suite(kernels: Optional[List[str]] = None, scale: float = 1.0,
                                variant="dyncta")
             row["role"] = "dyncta"
             rows[name + DYNCTA_SUFFIX] = row
-        from ..sim.vector import have_numpy
-        if have_numpy():
-            for name in VECTOR_KERNELS:
-                row = bench_kernel(name, scale=scale, repeats=repeats,
-                                   variant="vector")
-                row["role"] = "vector"
-                rows[name + VECTOR_SUFFIX] = row
     return {
         "format": BENCH_FORMAT,
         "mode": "quick" if quick else "full",

@@ -19,24 +19,15 @@ fused-debug the compiled run loop with ``debug_counters`` on every
            from a full scan and raises on mismatch
 ========== ==========================================================
 
-The batch family (the batched-sweep backend) has its own variants --
-``fused`` (the plain chip fused loop, which batched lanes claim
-bit-identity with), ``solo`` (a one-lane batch), and ``multi`` (the
-case mid-batch between decoy lanes) -- see :data:`FAMILY_VARIANTS`.
-The vector family (the vectorized busy-slot backend) likewise diffs
-``VectorGPU`` against the plain fused chip loop, in three modes
-(bursts live, fast-forward off, debug counters on).
-
 The hooks family exercises the hooks and GWDE specialization axes on
 the chip skeleton: ``fused`` is the per-run dispatcher (hook-free
 variant unless the case's controller installs ``sm.hooks``),
 ``hook-free`` forces the hook-free compiled variant whenever legal
-(collapsing to the dispatcher when the controller installs hooks --
-mirroring the vector family's numpy-absent collapse), ``hook-bearing``
-forces the guarded variant (always legal: the guard is a no-op without
-hooks), and ``method`` additionally drives block launch/retire through
-the GWDE ``request``/``notify_done`` reference API instead of the
-inlined launch/retire fragments.
+(collapsing to the dispatcher when the controller installs hooks),
+``hook-bearing`` forces the guarded variant (always legal: the guard
+is a no-op without hooks), and ``method`` additionally drives block
+launch/retire through the GWDE ``request``/``notify_done`` reference
+API instead of the inlined launch/retire fragments.
 
 All variants of a family must produce bit-identical
 :class:`~repro.sim.results.RunResult` payloads.  Families are *not*
@@ -52,7 +43,6 @@ Divergence between them and the compiled loops is exactly what the
 oracle exists to catch.
 """
 
-import dataclasses
 from typing import Dict, List, Optional
 
 from ..config import EqualizerConfig, GPUConfig, SimConfig
@@ -76,9 +66,6 @@ LOOP_FAMILIES = {
     "chip-loop@hooks": "hooks",
     "per-sm-loop": "per-sm",
     "per-sm-loop@hooks": "per-sm",
-    "batch-loop": "batch",
-    "batch-loop@hooks": "batch",
-    "vector-loop": "vector",
 }
 
 #: Per-family variants; "fused" is the reference each other variant is
@@ -86,21 +73,6 @@ LOOP_FAMILIES = {
 VARIANTS = ("fused", "fused-noff", "method", "fused-debug")
 REFERENCE_VARIANT = "fused"
 
-#: The batch family diffs the batched backend against the fused chip
-#: loop it claims bit-identity with: its "fused" reference *is* the
-#: plain chip fused path (same clocking, same epoch axis), "solo" runs
-#: the case as a one-lane batch, and "multi" runs it mid-batch between
-#: two decoy lanes (different seeds) to witness cross-lane isolation.
-#: So every batch pair the oracle checks is literally a
-#: batched-vs-fused leaf-exact diff.
-#: The vector family diffs the vectorized busy-slot backend against
-#: the fused chip loop it claims bit-identity with: "fused" is the
-#: plain chip fused path, "vector" the VectorGPU run loop with span
-#: bursts live, "vector-noff" the same with chip fast-forward disabled
-#: (so burst-parked SMs meet the catch-up path instead of the
-#: calendar), and "vector-debug" with ``debug_counters`` on every SM,
-#: which re-derives the incremental counters from a full scan at each
-#: sample *and* after every burst resync.
 #: The hooks family diffs the specialization-axis variants against the
 #: per-run dispatcher: "fused" lets the dispatcher pick, "hook-free"
 #: and "hook-bearing" pin one compiled variant each, and "method"
@@ -108,8 +80,6 @@ REFERENCE_VARIANT = "fused"
 FAMILY_VARIANTS = {
     "chip": VARIANTS,
     "per-sm": VARIANTS,
-    "batch": ("fused", "solo", "multi"),
-    "vector": ("fused", "vector", "vector-noff", "vector-debug"),
     "hooks": ("fused", "hook-free", "hook-bearing", "method"),
 }
 
@@ -142,7 +112,7 @@ def discover_families() -> Dict[str, List[str]]:
 
 
 def all_paths() -> List[str]:
-    """Every path id, e.g. ``chip:fused``, ``batch:solo``."""
+    """Every path id, e.g. ``chip:fused``, ``hooks:method``."""
     return [f"{family}:{variant}"
             for family in sorted(discover_families())
             for variant in variants_for(family)]
@@ -404,64 +374,6 @@ class MethodPathPerSMVRMGPU(PerSMVRMGPU):
 _CHIP_CLASSES = {"method": MethodPathGPU}
 _PER_SM_CLASSES = {"method": MethodPathPerSMVRMGPU}
 
-#: Seed perturbations for the decoy lanes of ``batch:multi``.  Any
-#: nonzero masks do; fixed values keep the path deterministic.
-_DECOY_SEED_MASKS = (0x5A5A5A5A, 0x3C3C3C3C)
-
-
-def _run_batch_variant(case: OracleCase, variant: str, sim: SimConfig,
-                       workload, controller) -> RunResult:
-    """One batch-family path: fused reference, solo lane, or mid-batch.
-
-    ``fused`` runs the plain chip fused loop -- the exact path batched
-    lanes claim bit-identity with -- so the family's within-family
-    diffs are batched-vs-fused by construction.
-    """
-    from ..power.energy_model import compute_energy
-    from ..sim.batch import BatchLane, run_batch
-    if variant == "fused":
-        gpu = GPU(sim, controller=controller)
-        return compute_energy(gpu.run(workload), sim.power, sim.gpu)
-    lane = BatchLane(workload=workload, sim=sim, controller=controller)
-    if variant == "solo":
-        return run_batch([lane])[0]
-    # "multi": the case runs mid-batch between two decoy lanes seeded
-    # differently, witnessing that lanes share no observable state.
-    decoys = []
-    for mask in _DECOY_SEED_MASKS:
-        dcase = dataclasses.replace(case, seed=case.seed ^ mask)
-        dsim = build_sim(dcase)
-        decoys.append(BatchLane(
-            workload=build_case_workload(dcase), sim=dsim,
-            controller=make_case_controller(dcase, "batch", dsim)))
-    return run_batch([decoys[0], lane, decoys[1]])[1]
-
-
-def _run_vector_variant(case: OracleCase, variant: str, sim: SimConfig,
-                        workload, controller) -> RunResult:
-    """One vector-family path: fused reference or a VectorGPU mode.
-
-    ``fused`` runs the plain chip fused loop -- the exact path the
-    vectorized backend claims bit-identity with -- so the family's
-    within-family diffs are vector-vs-scalar by construction.  Without
-    numpy VectorGPU *is* the chip loop and every variant collapses to
-    the reference, which is precisely the fallback contract the
-    numpy-absent CI job pins.
-    """
-    from ..power.energy_model import compute_energy
-    from ..sim.vector import VectorGPU
-    if variant == "fused":
-        gpu = GPU(sim, controller=controller)
-    else:
-        gpu = VectorGPU(sim, controller=controller)
-        if variant == "vector-noff":
-            gpu.enable_fast_forward = False
-        elif variant == "vector-debug":
-            for sm in gpu.sms:
-                sm.debug_counters = True
-    return compute_energy(gpu.run(workload), sim.power, sim.gpu)
-
-
 def _run_hooks_variant(case: OracleCase, variant: str, sim: SimConfig,
                        workload, controller) -> RunResult:
     """One hooks-family path: dispatcher, pinned variant, or method.
@@ -470,8 +382,7 @@ def _run_hooks_variant(case: OracleCase, variant: str, sim: SimConfig,
     ``hook-free`` pins the hook-free compiled loop, but only when the
     controller installs no hooks -- with hooks installed the hook-free
     variant is not a legal execution, so the path collapses to the
-    dispatcher (the vector family's numpy-absent collapse is the
-    precedent).  ``hook-bearing`` pins the guarded loop, legal
+    dispatcher.  ``hook-bearing`` pins the guarded loop, legal
     everywhere because the guard is a no-op without hooks.  ``method``
     runs the hand-written reference loop with GWDE method dispatch.
     """
@@ -502,12 +413,6 @@ def run_case_path(case: OracleCase, path_id: str,
         sim = build_sim(case)
     workload = build_case_workload(case)
     controller = make_case_controller(case, family, sim)
-    if family == "batch":
-        return _run_batch_variant(case, variant, sim, workload,
-                                  controller)
-    if family == "vector":
-        return _run_vector_variant(case, variant, sim, workload,
-                                   controller)
     if family == "hooks":
         return _run_hooks_variant(case, variant, sim, workload,
                                   controller)

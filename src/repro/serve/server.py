@@ -44,6 +44,7 @@ accident.
 import asyncio
 import heapq
 import json
+import signal
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -75,6 +76,16 @@ _REASONS = {200: "OK", 202: "Accepted", 400: "Bad Request",
             500: "Internal Server Error", 503: "Service Unavailable"}
 
 _HEX = set("0123456789abcdef")
+
+
+def _content_length(headers: Dict[str, str]) -> int:
+    """The request body length; ValueError unless exactly one
+    non-negative decimal integer was sent."""
+    value = headers.get("content-length", "0")
+    if not (value.isascii() and value.isdigit()):
+        raise ValueError(f"Content-Length must be one non-negative "
+                         f"integer, got {value[:40]!r}")
+    return int(value)
 
 
 class _Feed:
@@ -170,6 +181,7 @@ class SimServer:
         self._drain: Optional[threading.Thread] = None
         self._thread: Optional[threading.Thread] = None
         self._done: Optional[asyncio.Event] = None
+        self._stopping: Optional[asyncio.Task] = None
         self.store_front: Optional[JobStore] = None
 
     # -- lifecycle -----------------------------------------------------
@@ -222,11 +234,25 @@ class SimServer:
             store.close()
 
     async def serve(self) -> None:
-        """Start and run until :meth:`stop` (the CLI entry point)."""
+        """Start and run until :meth:`stop` (the CLI entry point).
+
+        The first SIGTERM runs :meth:`stop`, so the worker pool shuts
+        down and queued jobs stay ``new`` in the ledger for the next
+        start; a second SIGTERM kills the process outright.
+        """
         await self.start()
+        loop = asyncio.get_running_loop()
+
+        def _on_sigterm() -> None:
+            loop.remove_signal_handler(signal.SIGTERM)
+            self._stopping = loop.create_task(self.stop())
+
+        loop.add_signal_handler(signal.SIGTERM, _on_sigterm)
         print(f"serving on http://{self.host}:{self.port}",
               flush=True)
         await self._done.wait()
+        if self._stopping is not None:
+            await self._stopping
 
     async def stop(self) -> None:
         """Graceful stop: finish in-flight runs, keep the queue new."""
@@ -344,7 +370,12 @@ class SimServer:
                         "bad-request", "malformed HTTP request"),
                         keep=False)
                     break
-                length = int(headers.get("content-length", "0") or 0)
+                try:
+                    length = _content_length(headers)
+                except ValueError as exc:
+                    await self._write(writer, 400, {}, error_body(
+                        "bad-request", str(exc)), keep=False)
+                    break
                 if length > MAX_BODY:
                     await self._write(writer, 413, {}, error_body(
                         "body-too-large",
@@ -378,7 +409,14 @@ class SimServer:
         for line in lines[1:]:
             if ":" in line:
                 name, value = line.split(":", 1)
-                headers[name.strip().lower()] = value.strip()
+                name = name.strip().lower()
+                value = value.strip()
+                # A repeated field folds into one comma-joined value
+                # (RFC 9110 5.3), so a duplicated Content-Length can
+                # never parse as a single length.
+                if name in headers:
+                    value = f"{headers[name]}, {value}"
+                headers[name] = value
         return method, path, headers
 
     @staticmethod

@@ -15,10 +15,7 @@ time:
 * ``GPU._loop_hook_free`` / ``_loop_hook_bearing``
                                -- the fused chip-wide run loop;
 * ``PerSMVRMGPU._loop_hook_free`` / ``_loop_hook_bearing``
-                               -- the fused per-SM-VRM run loop;
-* ``BatchLaneGPU._chunk_hook_free`` / ``_chunk_hook_bearing``
-                               -- the resumable batched-sweep stepper;
-* ``VectorGPU._loop_hook_free``-- the vectorized busy-slot run loop.
+                               -- the fused per-SM-VRM run loop.
 
 A *skeleton* template per loop supplies the specialization points the
 variants differ in -- clock-domain advance (one shared SM domain vs a
@@ -529,92 +526,6 @@ gwde.live -= 1
 """
 
 
-#: Batched-sweep service gate: the standard gate, with the idle
-#: ``continue`` branch replaced by *parking*.  A parked SM leaves the
-#: per-cycle service scan entirely (its ``runnable`` flag clears) and
-#: registers its next due cycle -- the minimum of its sleep buckets --
-#: in the loop's wake calendar.  A fill delivery, an epoch boundary, or
-#: an invocation start re-admits it out of band; the gate's lag
-#: catch-up then replays the parked span exactly as it does for the
-#: standard gate's lagging SMs, so parking is observationally
-#: equivalent to scanning.  Spurious wakes (a stale calendar entry
-#: from before an out-of-band re-admission) fall straight back into
-#: this branch and re-park, so they are safe, merely wasted work.
-BATCH_GATE = """\
-buckets = sm._sleep_buckets
-bucket = buckets.pop(target, None)
-ready_alu = sm.ready_alu
-ready_mem = sm.ready_mem
-lsu_queue = sm.lsu_queue
-lsu_busy = sm._lsu_busy
-if bucket is None and not (
-        ready_alu or ready_mem
-        or lsu_queue or lsu_busy):
-    runnable[sm.sm_id] = False
-    gpu._batch_nrun -= 1
-    if buckets:
-        w = min(buckets)
-        wbucket = wake_cal.get(w)
-        if wbucket is None:
-            wake_cal[w] = [sm.sm_id]
-        else:
-            wbucket.append(sm.sm_id)
-    continue
-lag = target - 1 - sm.cycle
-if lag:
-    sm.skip_cycles(lag, interval)
-sm.cycle = target
-"""
-
-
-#: Vectorized busy-slot gate: the standard gate with an *ahead* guard
-#: in front and a burst hand-off behind.  A successful burst executes a
-#: whole run-ahead span of SM cycles at once (see
-#: :mod:`repro.sim.vector`) and leaves the SM's clock *ahead* of the
-#: domain, so the guard -- which must run before the bucket pop, or an
-#: ahead SM would double-execute its wakes -- skips the SM's slots
-#: until the domain catches up.  The burst precondition is the
-#: fill-free closure argument: with no MSHR entries, no texture
-#: requests, no LSU state and no deferred fetches, the SM can neither
-#: produce nor consume a memory event, so its future is a pure
-#: function of its sleep calendar and the planner may run it ahead of
-#: the chip clock.  Any divergence (memory state present or the
-#: planner declining) falls through to the scalar cycle body with the
-#: gate's bindings intact.  Miss instrumentation never reaches this
-#: gate at all: the fill-free guarantee is a compile-time property of
-#: the hook-free variant -- a controller that observes misses selects
-#: the hook-bearing chip loop instead (see the specialization
-#: registry), so the gate needs no per-slot check for it.  Declines
-#: are memoized on the SM (``_vec_hold``) so dense decline regions do
-#: not pay the O(warps) planning scan on every busy slot.
-VECTOR_GATE = """\
-if sm.cycle >= target:
-    continue
-buckets = sm._sleep_buckets
-bucket = buckets.pop(target, None)
-ready_alu = sm.ready_alu
-ready_mem = sm.ready_mem
-lsu_queue = sm.lsu_queue
-lsu_busy = sm._lsu_busy
-if bucket is None and not (
-        ready_alu or ready_mem
-        or lsu_queue or lsu_busy):
-    continue
-lag = target - 1 - sm.cycle
-if lag:
-    sm.skip_cycles(lag, interval)
-sm.cycle = target
-if (not sm.mshr and target >= sm._vec_hold
-        and not ready_mem and not lsu_queue
-        and not lsu_busy and not sm.tex_pending
-        and not sm._needs_fetch
-        and vtry(sm, target, bucket, interval,
-                 gpu._next_epoch_cycle)):
-    gpu._ff_blocked = False
-    continue
-"""
-
-
 # ----------------------------------------------------------------------
 # The chip-wide fused run loop (GPU._cycle_loop).
 # ----------------------------------------------------------------------
@@ -670,71 +581,6 @@ def _cycle_loop(self, workload):
     for sm in sms:
         lag = c - sm.cycle
         if lag:
-            sm.skip_cycles(lag, interval)
-    ticks = self.tick - start_tick
-    self._invocation_ticks.append(ticks)
-    return ticks
-'''
-
-
-# ----------------------------------------------------------------------
-# The vectorized chip-wide run loop (VectorGPU._cycle_loop).
-# ----------------------------------------------------------------------
-VECTOR_LOOP = '''\
-def _cycle_loop(self, workload):
-    """Run the prepared invocation to completion; return its ticks.
-
-    Compiled from repro.sim.cycle_kernel (vectorized busy-slot
-    specialization): the chip-wide loop semantics -- one shared SM
-    clock domain, cycle-major iteration, epochs on the SM-cycle axis
-    -- with a span-burst executor gated in front of the scalar cycle
-    body.  An SM whose busy slot is in the fill-free pure-ALU regime
-    hands its whole run-ahead span to the numpy planner at once and
-    parks its clock ahead of the domain (see the vector gate); every
-    divergent slot executes the scalar body unchanged.  The catch-up
-    ``skip_cycles`` calls guard on ``lag > 0`` because a burst SM may
-    legitimately be ahead of the domain clock.
-    """
-    ${prologue}
-    sm_domain = self.sm_domain
-    vtry = self._vector_burst
-    orders = [[sms[i] for i in range(s, nsms)]
-              + [sms[i] for i in range(s)]
-              for s in range(nsms)]
-    ${gwde_while}
-        if self.tick >= max_ticks:
-            raise SimulationError(
-                f"{workload.name}: exceeded max_ticks={max_ticks}")
-        ${ff_check}
-        tick = self.tick + 1
-        self.tick = tick
-        # sm_domain.advance() unrolled, exactly as in the chip loop.
-        acc = sm_domain._acc + sm_domain.rate
-        n = int(acc)
-        sm_domain._acc = acc - n
-        cbase = sm_domain.cycles
-        sm_domain.cycles = cbase + n
-        order = orders[tick % nsms]
-        for j in range(n):
-            target = cbase + j + 1
-            for sm in order:
-                ${vector_gate}
-                ${cycle_core}
-        ${mem_advance}
-        if sm_domain.cycles >= self._next_epoch_cycle:
-            c = sm_domain.cycles
-            for sm in sms:
-                lag = c - sm.cycle
-                if lag > 0:
-                    sm.skip_cycles(lag, interval)
-            while sm_domain.cycles >= self._next_epoch_cycle:
-                self._handle_epoch()
-                self._next_epoch_cycle += epoch_cycles
-            self._ff_blocked = False
-    c = sm_domain.cycles
-    for sm in sms:
-        lag = c - sm.cycle
-        if lag > 0:
             sm.skip_cycles(lag, interval)
     ticks = self.tick - start_tick
     self._invocation_ticks.append(ticks)
@@ -803,97 +649,6 @@ def _cycle_loop(self, workload):
     ticks = self.tick - start_tick
     self._invocation_ticks.append(ticks)
     return ticks
-'''
-
-
-# ----------------------------------------------------------------------
-# The batched-sweep chunk stepper (BatchLaneGPU._cycle_chunk).
-# ----------------------------------------------------------------------
-BATCH_LOOP = '''\
-def _cycle_chunk(self, workload, until_tick):
-    """Advance the prepared invocation by at most a tick budget.
-
-    Compiled from repro.sim.cycle_kernel (batched-sweep
-    specialization): the chip-wide loop semantics -- one shared SM
-    clock domain, cycle-major iteration, epochs on the SM-cycle axis
-    -- restructured for sweep batching:
-
-    * *resumable*: the loop exits once ``self.tick`` reaches
-      ``until_tick`` and continues bit-exactly on the next call, so
-      the batch scheduler can interleave many lanes through one
-      process in bounded-skew lockstep;
-    * *wake calendar*: idle SMs park out of the per-cycle service
-      scan (see the batch gate) and are re-admitted by a calendar
-      keyed on their next due cycle, so a cycle whose runnable set is
-      empty costs one dictionary probe instead of an O(SMs) scan.
-
-    Returns True when the invocation has drained, False when the
-    budget ran out first.
-    """
-    ${prologue}
-    sm_domain = self.sm_domain
-    runnable = self._batch_runnable
-    wake_cal = self._batch_wake_calendar
-    orders = [[sms[i] for i in range(s, nsms)]
-              + [sms[i] for i in range(s)]
-              for s in range(nsms)]
-    ${gwde_while}
-        if self.tick >= until_tick:
-            return False
-        if self.tick >= max_ticks:
-            raise SimulationError(
-                f"{workload.name}: exceeded max_ticks={max_ticks}")
-        ${ff_check}
-        tick = self.tick + 1
-        self.tick = tick
-        # sm_domain.advance() unrolled, exactly as in the chip loop.
-        acc = sm_domain._acc + sm_domain.rate
-        n = int(acc)
-        sm_domain._acc = acc - n
-        cbase = sm_domain.cycles
-        sm_domain.cycles = cbase + n
-        order = orders[tick % nsms]
-        for j in range(n):
-            target = cbase + j + 1
-            woken = wake_cal.pop(target, None)
-            if woken is not None:
-                nr = self._batch_nrun
-                for i in woken:
-                    if not runnable[i]:
-                        runnable[i] = True
-                        nr += 1
-                self._batch_nrun = nr
-            if self._batch_nrun:
-                for sm in order:
-                    if not runnable[sm.sm_id]:
-                        continue
-                    ${batch_gate}
-                    ${cycle_core}
-        ${mem_advance}
-        if sm_domain.cycles >= self._next_epoch_cycle:
-            c = sm_domain.cycles
-            for sm in sms:
-                lag = c - sm.cycle
-                if lag:
-                    sm.skip_cycles(lag, interval)
-            while sm_domain.cycles >= self._next_epoch_cycle:
-                self._handle_epoch()
-                self._next_epoch_cycle += epoch_cycles
-            self._ff_blocked = False
-            # Controller actions (pause/unpause/launch, VF moves) can
-            # arm any SM; re-admit the whole chip and let the idle
-            # ones park again at their next gated cycle.
-            wake_cal.clear()
-            for i in range(nsms):
-                runnable[i] = True
-            self._batch_nrun = nsms
-    c = sm_domain.cycles
-    for sm in sms:
-        lag = c - sm.cycle
-        if lag:
-            sm.skip_cycles(lag, interval)
-    self._invocation_ticks.append(self.tick - self._inv_start_tick)
-    return True
 '''
 
 
@@ -1060,8 +815,6 @@ def _fragments() -> dict:
         "prologue": LOOP_PROLOGUE,
         "ff_check": FF_CHECK,
         "gate": CYCLE_GATE,
-        "batch_gate": BATCH_GATE,
-        "vector_gate": VECTOR_GATE,
         "cycle_core": SM_CYCLE_CORE,
         "mem_advance": MEM_ADVANCE,
         "mem_cycle_core": MEM_CYCLE_CORE,
@@ -1114,12 +867,12 @@ def _unresolved_names(source: str, namespace: dict) -> set:
     """Names ``source`` reads as globals that nothing will ever bind.
 
     A fragment rendered into a skeleton that lacks its local contract
-    (the batch gate's ``runnable`` outside the batch loop, the vector
-    gate's ``vtry`` outside the vector loop) compiles fine and only
-    fails at run time with a ``NameError`` from the generated code.
-    :mod:`symtable` sees the mistake statically: a name a function
-    reads but never assigns is an implicit global, and a global that
-    is neither in the exec namespace nor a builtin cannot resolve.
+    (the cycle gate's ``interval`` in a template whose prologue never
+    binds it) compiles fine and only fails at run time with a
+    ``NameError`` from the generated code.  :mod:`symtable` sees the
+    mistake statically: a name a function reads but never assigns is
+    an implicit global, and a global that is neither in the exec
+    namespace nor a builtin cannot resolve.
     """
     try:
         top = symtable.symtable(source, "<cycle-kernel>", "exec")
@@ -1188,11 +941,7 @@ def compile_template(tag: str, template: str, entry: str, fragments=None):
 #: instrumentation branches in the compiled body), and the ``@hooks``
 #: tags substitute the guarded call for controllers that observe
 #: misses (CCWS).  ``GPU._cycle_loop`` is a plain dispatcher that
-#: picks the variant per invocation.  The vector loop has no
-#: ``@hooks`` variant by design: its burst regime exists only because
-#: no observer can see inside a span, so an instrumented run uses the
-#: inherited hook-bearing chip loop (bit-identical -- the old vector
-#: loop declined every burst as soon as hooks were installed).
+#: picks the variant per invocation.
 SPECIALIZATIONS = {
     "cycle-once": {
         "template": CYCLE_ONCE,
@@ -1245,27 +994,6 @@ SPECIALIZATIONS = {
         "kind": "run-loop",
         "installed_as": "repro.sim.per_sm_vrm.PerSMVRMGPU._loop_hook_bearing",
         "fragments": {"hook_l1_miss": HOOK_L1_MISS_GUARDED},
-    },
-    "batch-loop": {
-        "template": BATCH_LOOP,
-        "entry": "_cycle_chunk",
-        "kind": "run-loop",
-        "installed_as": "repro.sim.batch.BatchLaneGPU._chunk_hook_free",
-        "fragments": {"hook_l1_miss": ""},
-    },
-    "batch-loop@hooks": {
-        "template": BATCH_LOOP,
-        "entry": "_cycle_chunk",
-        "kind": "run-loop",
-        "installed_as": "repro.sim.batch.BatchLaneGPU._chunk_hook_bearing",
-        "fragments": {"hook_l1_miss": HOOK_L1_MISS_GUARDED},
-    },
-    "vector-loop": {
-        "template": VECTOR_LOOP,
-        "entry": "_cycle_loop",
-        "kind": "run-loop",
-        "installed_as": "repro.sim.vector.VectorGPU._loop_hook_free",
-        "fragments": {"hook_l1_miss": ""},
     },
 }
 
@@ -1323,17 +1051,3 @@ def build_per_sm_cycle_loop_hooks():
     """Compile the hook-bearing per-SM-VRM fused loop."""
     return build("per-sm-loop@hooks")
 
-
-def build_batch_cycle_chunk():
-    """Compile the hook-free batched-sweep stepper."""
-    return build("batch-loop")
-
-
-def build_batch_cycle_chunk_hooks():
-    """Compile the hook-bearing batched-sweep stepper."""
-    return build("batch-loop@hooks")
-
-
-def build_vector_cycle_loop():
-    """Compile ``VectorGPU._loop_hook_free`` (vectorized busy slots)."""
-    return build("vector-loop")

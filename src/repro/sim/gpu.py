@@ -97,9 +97,7 @@ class GPU:
         self._epoch_index = 0
         self._invocation = 0
         self._invocation_ticks = []
-        #: How many fast-forward jumps actually skipped ticks; the lane
-        #: divergence tests use it to prove a batch lane really took the
-        #: fast-forward fallback path.
+        #: How many fast-forward jumps actually skipped ticks.
         self.ff_events = 0
         if controller is not None:
             controller.attach(self)
@@ -184,17 +182,13 @@ class GPU:
     # ------------------------------------------------------------------
     # Run loop
     # ------------------------------------------------------------------
-    def prepare_invocation(self, workload, invocation: int) -> None:
-        """Stage one invocation: GWDE, per-SM geometry, first launches.
+    def run_invocation(self, workload, invocation: int) -> int:
+        """Run one kernel invocation to completion; return its ticks.
 
         Workloads may optionally provide ``make_gwde(invocation)`` and
         per-SM geometry (``wcta_for_sm`` / ``max_blocks_for_sm``) to run
         different kernels on disjoint SM partitions (Section I's
         concurrent-kernel scenario, :mod:`repro.sim.multikernel`).
-
-        Split out of :meth:`run_invocation` so resumable run loops
-        (the batched-sweep backend, :mod:`repro.sim.batch`) can stage
-        an invocation once and then step it in bounded chunks.
         """
         self._invocation = invocation
         make_gwde = getattr(workload, "make_gwde", None)
@@ -216,10 +210,6 @@ class GPU:
             self.controller.on_invocation_start(self, invocation)
         for sm in self.sms:
             sm.ensure_blocks()
-
-    def run_invocation(self, workload, invocation: int) -> int:
-        """Run one kernel invocation to completion; return its ticks."""
-        self.prepare_invocation(workload, invocation)
         return self._cycle_loop(workload)
 
     #: The fused run loop's two compiled variants along the hooks axis
@@ -284,12 +274,9 @@ class GPU:
         c = self.sm_domain.cycles
         for sm in self.sms:
             # Catch-up form: parked SMs lag the domain, so skip each SM
-            # to the domain clock rather than by a fixed amount.  The
-            # vectorized loop can also leave an SM *ahead* of the
-            # domain (a burst executed its future cycles already), so
-            # a non-positive lag must not replay anything.
+            # to the domain clock rather than by a fixed amount.
             lag = c - sm.cycle
-            if lag > 0:
+            if lag:
                 sm.skip_cycles(lag, interval)
         m = self.mem_domain.advance_many(ticks)
         self.memory.skip_cycles(m)
@@ -349,24 +336,14 @@ class _NullController:
         pass
 
 
-def run_kernel(workload, sim: SimConfig, controller=None,
-               gpu_class=None) -> RunResult:
+def run_kernel(workload, sim: SimConfig, controller=None) -> RunResult:
     """Simulate a workload and attach energy figures.
 
     This is the main entry point used by examples, tests, and the
-    experiment harnesses.  By default it executes through the
-    vectorized busy-slot backend (:mod:`repro.sim.vector`) when numpy
-    is importable and through the scalar chip loop otherwise; the two
-    are bit-identical (the vector oracle family and the golden digests
-    pin this), so the choice is pure throughput.  Pass ``gpu_class``
-    to force a specific executor (the benchmarks do, so scalar-vs-
-    vector rows measure what they claim to).
+    experiment harnesses.
     """
     from ..power.energy_model import compute_energy
-    if gpu_class is None:
-        from .vector import default_gpu_class
-        gpu_class = default_gpu_class()
-    gpu = gpu_class(sim, controller=controller)
+    gpu = GPU(sim, controller=controller)
     # The cycle loop allocates heavily (accesses, response buckets) but
     # its reference cycles (warp <-> block) live for the whole run, so
     # collector passes during the run only burn time.  Suspend the GC

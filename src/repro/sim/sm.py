@@ -81,7 +81,7 @@ class SM:
         "debug_counters", "_block_seq", "memory", "_lsu_depth",
         "_alu_width", "_miss_cycles", "_mshr_entries", "_ingress_depth",
         "_hit_latency", "_mem_width", "_tex_depth", "_l1_data",
-        "_l1_sets", "_vec_hold",
+        "_l1_sets",
     )
 
     def __init__(self, sm_id, cfg, gpu) -> None:
@@ -127,9 +127,6 @@ class SM:
         self.tot_samples = 0
         #: Remaining cycles the LSU miss path is occupied.
         self._lsu_busy = 0
-        #: Vector-burst decline memo: no burst attempt before this
-        #: cycle (planning is read-only, so skipping tries is safe).
-        self._vec_hold = 0
         #: Warps whose load completed while paused; fetch deferred.
         self._needs_fetch = set()
         #: Controller hook object or None (CCWS needs per-miss hooks).

@@ -1,27 +1,23 @@
-"""Batched-backend equivalence tests (``repro.sim.batch``).
+"""Batch-of-runs tests: many runs in one sweep, each equal to its solo run.
 
-The batched backend's contract is bit identity: every lane of a batch
-produces the exact :class:`~repro.sim.results.RunResult` that a solo
-:func:`~repro.sim.gpu.run_kernel` call would have produced.  The tests
-here pin that contract from the angles the lockstep scheduler can get
-wrong:
+A sweep is a batch of independent runs, and its contract is bit
+identity: every run in it produces the exact
+:class:`~repro.sim.results.RunResult` that a solo
+:func:`~repro.sim.gpu.run_kernel` call would have produced, whatever
+else ran beside it or before it.  The scalar chip loop is the only
+chip loop, so the tests here pin that contract where a sweep meets it:
 
-* lane divergence -- a lane that takes the fast-forward fallback
-  mid-batch (peeling off the common cadence) and a lane that never
-  diverges (fast-forward disabled) both match their solo runs
-  leaf-exactly;
-* degenerate shapes -- the empty batch and the one-lane batch;
-* windowed admission -- more lanes than the window, finishing at
-  different times, still return results in lane order;
-* the engine integration -- a batched :class:`~repro.engine.Engine`
-  populates the content-addressed cache with entries a sequential
-  engine replays as hits;
-* golden digests -- representative batch shapes are pinned in
-  ``tests/data/batch_golden.json`` the same way the cycle-kernel
-  goldens pin the solo loops.
-
-Regenerate the golden file (only when a behaviour change is intended)
-with ``PYTHONPATH=src:tests python tests/test_batch.py``.
+* golden digests -- the representative batch shapes of
+  ``tests/data/batch_golden.json`` (captured when a lockstep batched
+  backend still existed, whose lanes were bit-identical to solo runs)
+  are reproduced run by run by the solo chip loop;
+* fast-forward -- a run that takes the fast-forward fallback and the
+  same run stepped cycle by cycle both match leaf-exactly;
+* isolation -- a run's result does not depend on the runs that went
+  before it in the same process;
+* the engine -- empty and one-job plans, plan-ordered outcomes from a
+  narrow pool, pooled results equal to inline ones, and a cache one
+  engine fills that another replays as pure hits.
 """
 
 import hashlib
@@ -34,10 +30,11 @@ from hypothesis import given, settings, strategies as st
 from helpers import cache_spec, compute_spec, memory_spec, tiny_sim
 from repro.config import VF_HIGH, VF_LOW, VF_NORMAL
 from repro.engine import Engine, as_jobs, make_controller
+from repro.errors import EngineError
 from repro.oracle.diff import diff_payloads
-from repro.sim.batch import BatchLane, BatchLaneGPU, run_batch
+from repro.power.energy_model import compute_energy
 from repro.sim.gpu import GPU, run_kernel
-from repro.workloads import build_workload
+from repro.workloads import build_workload, kernel_by_name
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "data",
                            "batch_golden.json")
@@ -56,135 +53,89 @@ SWEEP_KEYS = (
 )
 
 
-def _lane(spec, key=("baseline",), seed=7, fast_forward=True):
-    sim = tiny_sim()
-    return BatchLane(workload=build_workload(spec, seed=seed), sim=sim,
-                     controller=make_controller(key, sim.equalizer),
-                     fast_forward=fast_forward)
-
-
 def _solo(spec, key=("baseline",), seed=7, fast_forward=True):
-    """The sequential reference for one lane."""
-    from repro.power.energy_model import compute_energy
+    """One run on the chip loop, on a fresh tiny GPU."""
     sim = tiny_sim()
-    if fast_forward:
-        return run_kernel(build_workload(spec, seed=seed), sim,
-                          controller=make_controller(key, sim.equalizer))
     gpu = GPU(sim, controller=make_controller(key, sim.equalizer))
-    gpu.enable_fast_forward = False
+    gpu.enable_fast_forward = fast_forward
     result = gpu.run(build_workload(spec, seed=seed))
     return compute_energy(result, sim.power, sim.gpu)
 
 
-def _assert_leaf_exact(batched, solo, label):
-    diffs = diff_payloads(batched.to_dict(), solo.to_dict(),
-                          "batched", "solo")
-    assert not diffs, f"{label}: batched run diverged from solo:\n" \
+def _reference(spec, key=("baseline",), seed=7):
+    """The public solo entry point every other run is held to."""
+    sim = tiny_sim()
+    return run_kernel(build_workload(spec, seed=seed), sim,
+                      controller=make_controller(key, sim.equalizer))
+
+
+def _assert_leaf_exact(run, ref, label):
+    diffs = diff_payloads(run.to_dict(), ref.to_dict(), "run", "solo")
+    assert not diffs, f"{label}: run diverged from solo:\n" \
         + "\n".join(diffs)
 
 
-# ----------------------------------------------------------------------
-# Degenerate shapes
-# ----------------------------------------------------------------------
-def test_empty_batch_returns_empty_list():
-    assert run_batch([]) == []
-
-
-def test_single_lane_batch_matches_solo():
-    results = run_batch([_lane(compute_spec())])
-    assert len(results) == 1
-    _assert_leaf_exact(results[0], _solo(compute_spec()), "size-1")
-
-
-def test_run_batch_rejects_degenerate_parameters():
-    with pytest.raises(ValueError):
-        run_batch([_lane(compute_spec())], chunk_ticks=0)
-    with pytest.raises(ValueError):
-        run_batch([_lane(compute_spec())], window=0)
-
-
-# ----------------------------------------------------------------------
-# Lane divergence
-# ----------------------------------------------------------------------
 def _ff_spec():
     """A spec whose run takes the fast-forward fallback.
 
     Long dependence stalls with little memory traffic leave whole-SM
-    quiescent spans, which is exactly what the fast-forward scan peels
-    a lane off the lockstep cadence for.
+    quiescent spans, which is exactly what the fast-forward scan skips.
     """
     return compute_spec(dep_latency=40, iterations=6)
 
 
+# ----------------------------------------------------------------------
+# Fast-forward
+# ----------------------------------------------------------------------
 def test_ff_spec_actually_takes_the_fallback():
-    """The divergence test below is vacuous unless this lane really
-    fast-forwards.  Lanes advance by identical per-round budgets solo
-    and in-batch (the horizon is per-lane), so a solo chunked run
-    taking the fallback proves the in-batch lane takes it too.
-    """
-    lane = _lane(_ff_spec())
-    gpu = BatchLaneGPU(lane.sim, controller=lane.controller)
-    gpu.run(lane.workload)
+    """The fast-forward tests below are vacuous unless this run really
+    fast-forwards."""
+    sim = tiny_sim()
+    gpu = GPU(sim, controller=None)
+    gpu.run(build_workload(_ff_spec(), seed=7))
     assert gpu.ff_events > 0
 
 
 def test_divergent_and_lockstep_lanes_both_match_solo():
-    """One lane peels off via fast-forward, one never diverges."""
-    lanes = [
-        _lane(_ff_spec()),                                # diverges
-        _lane(memory_spec(), key=("equalizer", "performance"),
-              fast_forward=False),                        # never does
-        _lane(cache_spec(), key=("static", VF_LOW, VF_NORMAL, None)),
+    """A run that skips quiescent spans and one stepped every cycle
+    both match the solo reference, across controller families."""
+    cases = [
+        (_ff_spec(), ("baseline",)),
+        (memory_spec(), ("equalizer", "performance")),
+        (cache_spec(), ("static", VF_LOW, VF_NORMAL, None)),
     ]
-    results = run_batch(lanes, chunk_ticks=64)
-    _assert_leaf_exact(results[0], _solo(_ff_spec()), "ff-lane")
-    _assert_leaf_exact(
-        results[1],
-        _solo(memory_spec(), key=("equalizer", "performance"),
-              fast_forward=False),
-        "lockstep-lane")
-    _assert_leaf_exact(
-        results[2],
-        _solo(cache_spec(), key=("static", VF_LOW, VF_NORMAL, None)),
-        "cache-lane")
+    for spec, key in cases:
+        ref = _reference(spec, key=key)
+        _assert_leaf_exact(_solo(spec, key=key), ref,
+                           f"{spec.name}/{key[0]}/ff")
+        _assert_leaf_exact(_solo(spec, key=key, fast_forward=False),
+                           ref, f"{spec.name}/{key[0]}/lockstep")
 
 
+# ----------------------------------------------------------------------
+# Isolation between runs in one process
+# ----------------------------------------------------------------------
 @given(seed=st.integers(min_value=0, max_value=2 ** 16),
-       chunk=st.sampled_from([32, 256, 4096]))
+       chunk=st.sampled_from([0, 1, 3]))
 @settings(max_examples=6, deadline=None)
 def test_lane_identity_across_seeds_and_chunk_sizes(seed, chunk):
-    """Chunk geometry is invisible: any chunk size, any seed, the
-    batch reproduces the solo results bit for bit."""
+    """Any seed, after any number of unrelated runs in the same
+    process: the run reproduces its solo result bit for bit, so no
+    state leaks from one run of a sweep into the next."""
     spec = cache_spec(total_blocks=8, iterations=12)
-    lanes = [_lane(spec, seed=seed),
-             _lane(_ff_spec(), seed=seed, fast_forward=False)]
-    results = run_batch(lanes, chunk_ticks=chunk)
-    _assert_leaf_exact(results[0], _solo(spec, seed=seed),
-                       f"seed={seed}")
-    _assert_leaf_exact(
-        results[1], _solo(_ff_spec(), seed=seed, fast_forward=False),
-        f"seed={seed}/no-ff")
+    ref = _reference(spec, seed=seed)
+    for i in range(chunk):
+        _solo(_ff_spec(), key=SWEEP_KEYS[i % len(SWEEP_KEYS)],
+              seed=seed + i + 1)
+    _assert_leaf_exact(_reference(spec, seed=seed), ref,
+                       f"seed={seed}/after {chunk} runs")
+    _assert_leaf_exact(_solo(_ff_spec(), seed=seed, fast_forward=False),
+                       _reference(_ff_spec(), seed=seed),
+                       f"seed={seed}/no-ff")
 
 
 # ----------------------------------------------------------------------
-# Windowed admission
-# ----------------------------------------------------------------------
-def test_results_in_lane_order_with_narrow_window():
-    """Six lanes through a two-lane window: admission order, finish
-    order, and the result list's lane order are all decoupled."""
-    specs = [compute_spec(), memory_spec(), cache_spec(),
-             _ff_spec(), memory_spec(iterations=8), compute_spec()]
-    keys = [("baseline",), ("equalizer", "energy"), ("ccws",),
-            ("baseline",), ("dyncta",), ("boost",)]
-    lanes = [_lane(s, key=k) for s, k in zip(specs, keys)]
-    results = run_batch(lanes, chunk_ticks=128, window=2)
-    for i, (spec, key) in enumerate(zip(specs, keys)):
-        _assert_leaf_exact(results[i], _solo(spec, key=key),
-                           f"lane {i} ({key[0]})")
-
-
-# ----------------------------------------------------------------------
-# Engine integration
+# Engine plans
 # ----------------------------------------------------------------------
 def _tiny_engine(tmp_path, name, **kwargs):
     return Engine(sim=tiny_sim(), scale=1.0,
@@ -198,74 +149,112 @@ def _plan():
                    + [("lbm", key) for key in keys[:2]])
 
 
+def _engine_reference(job):
+    """A job's solo result, computed without any engine."""
+    sim = tiny_sim()
+    workload = build_workload(kernel_by_name(job.kernel), scale=1.0,
+                              seed=sim.seed)
+    return run_kernel(workload, sim,
+                      controller=make_controller(job.key, sim.equalizer))
+
+
+def test_empty_batch_returns_empty_list(tmp_path):
+    report = _tiny_engine(tmp_path, "empty").execute([])
+    assert report.outcomes == []
+    assert not report.failures and report.executed == 0
+
+
+def test_single_lane_batch_matches_solo(tmp_path):
+    eng = _tiny_engine(tmp_path, "one")
+    job = _plan()[0]
+    report = eng.execute([job])
+    assert len(report.outcomes) == 1 and not report.failures
+    _assert_leaf_exact(eng.run(job.kernel, job.key),
+                       _engine_reference(job), "size-1")
+
+
+def test_run_batch_rejects_degenerate_parameters(tmp_path):
+    with pytest.raises(EngineError):
+        _tiny_engine(tmp_path, "bad", jobs=0)
+    with pytest.raises(EngineError):
+        _tiny_engine(tmp_path, "bad", max_attempts=0)
+    with pytest.raises(EngineError):
+        _tiny_engine(tmp_path, "bad", timeout=0)
+
+
+def test_results_in_lane_order_with_narrow_window(tmp_path):
+    """Six jobs through a two-worker pool: submission order, finish
+    order and the report's plan order are all decoupled."""
+    plan = list(reversed(_plan()))
+    eng = _tiny_engine(tmp_path, "window")
+    report = eng.execute(plan, workers=2)
+    assert not report.failures
+    assert [o.job for o in report.outcomes] == plan
+    for job in plan:
+        _assert_leaf_exact(eng.run(job.kernel, job.key),
+                           _engine_reference(job), job.label())
+
+
 def test_engine_batched_results_equal_sequential(tmp_path):
     seq = _tiny_engine(tmp_path, "seq")
-    bat = _tiny_engine(tmp_path, "bat", batch_size=4)
+    pool = _tiny_engine(tmp_path, "pool")
     plan = _plan()
     seq_report = seq.execute(plan)
-    bat_report = bat.execute(plan)
-    assert not seq_report.failures and not bat_report.failures
+    pool_report = pool.execute(plan, workers=2)
+    assert not seq_report.failures and not pool_report.failures
     assert all(o.source == "run" for o in seq_report.outcomes)
-    assert all(o.source == "batch" for o in bat_report.outcomes)
+    assert all(o.source == "run" for o in pool_report.outcomes)
     for job in plan:
-        _assert_leaf_exact(bat.run(job.kernel, job.key),
+        _assert_leaf_exact(pool.run(job.kernel, job.key),
                            seq.run(job.kernel, job.key), job.label())
 
 
 def test_engine_batch_populated_cache_replays_as_hits(tmp_path):
-    """Batch lanes land in the content-addressed cache under the same
+    """Pooled runs land in the content-addressed cache under the same
     digests a sequential engine computes, so a later sequential engine
     sees pure hits."""
     plan = _plan()
-    bat = _tiny_engine(tmp_path, "shared", batch_size=16)
-    report = bat.execute(plan)
+    report = _tiny_engine(tmp_path, "shared").execute(plan, workers=2)
     assert report.executed == len(plan)
     replay = _tiny_engine(tmp_path, "shared").execute(plan)
     assert replay.hits == len(plan)
     assert replay.executed == 0
 
 
+_INLINE_PIDS = []
+
+
+def _pid_recording_worker(kernel, key, scale, sim):
+    from repro.engine import execute_job
+    _INLINE_PIDS.append(os.getpid())
+    return execute_job(kernel, key, scale, sim)
+
+
 def test_engine_batch_size_one_is_sequential(tmp_path):
-    """batch_size=1 degenerates to the plain serial path."""
-    eng = _tiny_engine(tmp_path, "one", batch_size=1)
+    """One worker runs every job inline, in the driver process."""
+    del _INLINE_PIDS[:]
+    eng = _tiny_engine(tmp_path, "one", jobs=1,
+                       worker=_pid_recording_worker)
     report = eng.execute(_plan())
     assert not report.failures
     assert all(o.source == "run" for o in report.outcomes)
-
-
-# ----------------------------------------------------------------------
-# Compiled-fragment hygiene (mirror of the CI grep lint)
-# ----------------------------------------------------------------------
-def test_no_per_lane_python_loops_in_batch_fragments():
-    """The batch specialization must stay a per-GPU compiled loop; the
-    lockstep over lanes lives in run_batch, never in the kernel."""
-    from repro.sim import cycle_kernel
-    with open(cycle_kernel.__file__) as f:
-        assert "for lane in" not in f.read()
+    assert _INLINE_PIDS == [os.getpid()] * len(_plan())
 
 
 # ----------------------------------------------------------------------
 # Golden digests of representative batch shapes
 # ----------------------------------------------------------------------
 def _golden_shapes():
-    """name -> (lanes, run_batch kwargs).  Built fresh per call: lanes
-    hold stateful workloads."""
-    sweep_sim = tiny_sim()
-    sweep_workload = build_workload(compute_spec(), seed=7)
-    # The sweep shape mirrors engine batching: one shared workload,
-    # one lane per controller key.
-    sweep = [BatchLane(workload=sweep_workload, sim=sweep_sim,
-                       controller=make_controller(key,
-                                                  sweep_sim.equalizer))
-             for key in SWEEP_KEYS]
-    mixed = [_lane(compute_spec()),
-             _lane(memory_spec(), key=("equalizer", "energy")),
-             _lane(_ff_spec(), fast_forward=False),
-             _lane(cache_spec(), key=("ccws",), seed=11)]
+    """name -> list of (spec, key, seed) runs, in lane order."""
+    mixed = [(compute_spec(), ("baseline",), 7, True),
+             (memory_spec(), ("equalizer", "energy"), 7, True),
+             (_ff_spec(), ("baseline",), 7, False),
+             (cache_spec(), ("ccws",), 11, True)]
     return {
-        "solo-compute": ([_lane(compute_spec())], {}),
-        "sweep-compute-8": (sweep, {}),
-        "mixed-windowed": (mixed, {"chunk_ticks": 128, "window": 2}),
+        "solo-compute": [(compute_spec(), ("baseline",), 7, True)],
+        "sweep-compute-8": [(compute_spec(), key, 7, True)
+                            for key in SWEEP_KEYS],
+        "mixed-windowed": mixed,
     }
 
 
@@ -274,8 +263,10 @@ def _digest(payload) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def _shape_payload(lanes, kwargs):
-    return [run.to_dict() for run in run_batch(lanes, **kwargs)]
+def _shape_payload(runs):
+    return [_solo(spec, key=key, seed=seed,
+                  fast_forward=ff).to_dict()
+            for spec, key, seed, ff in runs]
 
 
 def _load_golden() -> dict:
@@ -286,36 +277,16 @@ def _load_golden() -> dict:
 @pytest.mark.parametrize("shape", sorted(_golden_shapes()))
 def test_batch_golden_digests(shape):
     golden = _load_golden()[shape]
-    lanes, kwargs = _golden_shapes()[shape]
-    payload = _shape_payload(lanes, kwargs)
+    payload = _shape_payload(_golden_shapes()[shape])
+    assert len(payload) == golden["lanes"]
     ticks = [run["result"]["ticks"] for run in payload]
     assert ticks == golden["ticks"], (
-        f"{shape}: per-lane tick counts diverged from the golden "
+        f"{shape}: per-run tick counts diverged from the golden "
         f"capture ({ticks} vs {golden['ticks']})")
     assert _digest(payload) == golden["digest"], (
-        f"{shape}: batch payload diverged from the golden capture "
-        f"despite matching ticks -- diff the lane payloads field by "
-        f"field")
-
-
-def _build_golden() -> dict:
-    golden = {}
-    for shape, (lanes, kwargs) in sorted(_golden_shapes().items()):
-        payload = _shape_payload(lanes, kwargs)
-        golden[shape] = {
-            "lanes": len(payload),
-            "ticks": [run["result"]["ticks"] for run in payload],
-            "digest": _digest(payload),
-        }
-        print(f"{shape:<18} lanes={golden[shape]['lanes']} "
-              f"{golden[shape]['digest'][:16]}")
-    return golden
+        f"{shape}: payload diverged from the golden capture despite "
+        f"matching ticks -- diff the run payloads field by field")
 
 
 if __name__ == "__main__":
-    os.makedirs(os.path.dirname(GOLDEN_PATH), exist_ok=True)
-    with open(GOLDEN_PATH, "w") as f:
-        json.dump({"format": 1, "shapes": _build_golden()}, f,
-                  indent=2, sort_keys=True)
-        f.write("\n")
-    print(f"wrote {GOLDEN_PATH}")
+    raise SystemExit(pytest.main([__file__, "-q"]))

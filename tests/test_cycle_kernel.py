@@ -41,8 +41,8 @@ BENCH_KERNELS = ("cutcp", "lbm", "spmv", "leuko-1")
 #: same way: the partitioned GWDE and per-SM geometry go through the
 #: same compiled loops, so they need the same drift tripwire.
 MULTIKERNEL_GOLDENS = ("cutcp+lbm", "spmv+lbm")
-CONFIGS = ("chip-baseline", "vector-baseline", "per-sm-baseline",
-           "per-sm-performance", "per-sm-energy")
+CONFIGS = ("chip-baseline", "per-sm-baseline", "per-sm-performance",
+           "per-sm-energy")
 
 
 def _default_sim():
@@ -66,13 +66,7 @@ def _run_payload(kernel: str, config: str) -> dict:
     decisions = []
     sm_segments = []
     if config == "chip-baseline":
-        # Pinned to the scalar chip loop explicitly: run_kernel now
-        # defaults to the vectorized backend when numpy is present,
-        # and this capture is the scalar reference it is diffed with.
-        run = run_kernel(workload, sim, gpu_class=GPU)
-    elif config == "vector-baseline":
-        from repro.sim.vector import VectorGPU
-        run = run_kernel(workload, sim, gpu_class=VectorGPU)
+        run = run_kernel(workload, sim)
     else:
         mode = config.rsplit("-", 1)[1]
         controller = None

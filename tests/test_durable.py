@@ -114,22 +114,6 @@ class TestWorkerCrash:
         assert (cache_payloads(str(tmp_path / "cache"))
                 == clean_reference_cache(tmp_path, PLAN))
 
-    def test_batch_group_crash_falls_back_to_solo(self, tmp_path,
-                                                  monkeypatch):
-        # Every *worker* submission crashes (token "<digest>#b1" and
-        # "#a1" both fire at rate 1.0); the solo retry runs inline in
-        # the driver, which the harness never faults, so it lands.
-        # Two kernels -> two groups, which is what routes the groups
-        # through the supervised pool rather than inline.
-        monkeypatch.setenv(faults.ENV_VAR, "crash@1.0")
-        engine = make_engine(tmp_path, batch_size=4)
-        report = engine.execute([Job(k, key) for k in FAST
-                                 for key in (BASELINE, EQ_PERF)],
-                                workers=2)
-        assert not report.failures
-        assert all(o.attempts == 2 and o.source == "run"
-                   for o in report.outcomes)
-
 
 class TestHang:
     def test_hung_worker_is_killed_and_retried(self, tmp_path):

@@ -60,10 +60,7 @@ def _run_payload(kernel: str, config: str) -> dict:
     workload = build_workload(kernel_by_name(kernel), seed=sim.seed,
                               scale=GOLDEN_SCALE)
     controller = _make_controller(config)
-    # Pinned to the scalar chip GPU: the capture isolates the compiled
-    # chip-loop variants, and CCWS/DynCTA runs must not depend on
-    # whether numpy is installed.
-    run = run_kernel(workload, sim, controller=controller, gpu_class=GPU)
+    run = run_kernel(workload, sim, controller=controller)
     decisions = [list(d) for d in getattr(controller, "decisions", [])]
     return {"run": run.to_dict(), "decisions": decisions}
 

@@ -97,9 +97,9 @@ def test_every_run_loop_specialization_has_a_family():
     # The classic families keep the classic four-variant expansion.
     assert variants_for("chip") == VARIANTS
     assert variants_for("per-sm") == VARIANTS
-    # The batch family's reference is the fused chip loop, so all of
-    # its diffs are batched-vs-fused.
-    assert variants_for("batch") == ("fused", "solo", "multi")
+    # The scalar chip and per-SM loops (with their hooks twins) are the
+    # only compiled run loops.
+    assert sorted(families) == ["chip", "hooks", "per-sm"]
     # The hooks family covers the hooks/GWDE specialization axes.
     assert variants_for("hooks") == ("fused", "hook-free",
                                      "hook-bearing", "method")

@@ -4,15 +4,17 @@ A real server on an ephemeral port backs every integration test:
 cache-hit fast path, miss -> queue -> poll, 429s from the token
 bucket and run budget, the 64-client coalescing invariant (exactly
 one engine run, byte-identical bodies, proven through an injectable
-run-counter worker seam), loadgen trace determinism, and
+run-counter worker seam), loadgen trace determinism,
 crash-recovery (SIGKILL the server subprocess mid-queue, restart on
-the same ledger, byte-identical results).
+the same ledger, byte-identical results), malformed Content-Length
+headers, and SIGTERM shutdown (no pool worker outlives the server).
 """
 
 import asyncio
 import json
 import os
 import signal
+import socket
 import subprocess
 import sys
 import time
@@ -169,6 +171,30 @@ class TestFastPaths:
         status, _, _ = http(server, "GET", "/result/" + "ab" * 32)
         assert status == 404
         assert run_count() == 0
+
+    @pytest.mark.parametrize("lengths", [
+        ["abc"], ["-5"], ["2", "2"], ["1e3"], [""]])
+    def test_bad_content_length_gets_400_and_close(self, serve,
+                                                    lengths):
+        server = serve()
+        head = "POST /simulate HTTP/1.1\r\nHost: t\r\n" + "".join(
+            f"Content-Length: {v}\r\n" for v in lengths) + "\r\n"
+        with socket.create_connection((server.host, server.port),
+                                      timeout=10) as sock:
+            sock.sendall(head.encode() + b"{}")
+            reply = b""
+            while True:
+                chunk = sock.recv(4096)
+                if not chunk:  # the server closed the connection
+                    break
+                reply += chunk
+        status_line, _, rest = reply.partition(b"\r\n")
+        assert status_line == b"HTTP/1.1 400 Bad Request", reply
+        assert b"Connection: close" in rest
+        assert json.loads(rest.split(b"\r\n\r\n", 1)[1])["error"] \
+            == "bad-request"
+        status, _, payload = http(server, "GET", "/healthz")
+        assert (status, json.loads(payload)) == (200, {"ok": True})
 
     def test_healthz_and_stats(self, serve):
         server = serve()
@@ -441,3 +467,64 @@ class TestCrashRecovery:
                 assert payload == recovered[digest]
         finally:
             reference.stop_background()
+
+
+# -- shutdown ----------------------------------------------------------
+
+
+def _proc_stat(pid):
+    """(state, ppid) of process ``pid``; None once it is gone."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            # Fields after the parenthesised command: state, ppid, ...
+            state, ppid = handle.read().rsplit(")", 1)[1].split()[:2]
+    except OSError:
+        return None
+    return state, int(ppid)
+
+
+def _alive(pid):
+    stat = _proc_stat(pid)
+    return stat is not None and stat[0] != "Z"
+
+
+def _children(pid):
+    """Live (non-zombie) processes whose parent is ``pid``."""
+    found = []
+    for entry in os.listdir("/proc"):
+        stat = _proc_stat(entry) if entry.isdigit() else None
+        if stat is not None and stat[0] != "Z" and stat[1] == pid:
+            found.append(int(entry))
+    return found
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs /proc")
+class TestSigterm:
+    def test_sigterm_stops_pool_and_frees_port(self, tmp_path):
+        proc, port = _spawn_server(tmp_path)
+        workers = []
+        try:
+            # A miss brings the fork pool up.
+            status, _, _ = http(_PortServer(port), "POST", "/simulate",
+                                {"kernel": KERNEL, "key": ["baseline"]})
+            assert status == 200
+            workers = _children(proc.pid)
+            assert workers, "no pool worker was forked"
+            os.kill(proc.pid, signal.SIGTERM)
+            proc.wait(timeout=60)
+            deadline = time.monotonic() + 10.0
+            while (any(_alive(pid) for pid in workers)
+                   and time.monotonic() < deadline):
+                time.sleep(0.05)
+            survivors = [pid for pid in workers if _alive(pid)]
+            assert not survivors, "pool workers outlived SIGTERM"
+            assert proc.returncode == 0
+        finally:
+            for pid in [proc.pid] + workers:
+                if _alive(pid):
+                    os.kill(pid, signal.SIGKILL)
+            proc.wait()
+        with socket.socket() as sock:
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+            sock.bind(("127.0.0.1", port))
+            sock.listen()

@@ -1,58 +1,59 @@
-"""Vectorized busy-slot backend equivalence tests (``repro.sim.vector``).
+"""Chip-loop equivalence tests: the compiled loop against its references.
 
-The vector backend's contract is bit identity: a :class:`VectorGPU`
-run produces the exact :class:`~repro.sim.results.RunResult` -- every
-leaf, including epoch records and the energy breakdown -- that the
-scalar chip loop would have produced, and consumes each warp's private
-RNG stream at exactly the same points.  The tests here pin that
-contract from the angles the span-burst planner can get wrong:
+The scalar chip loop is the only chip loop -- the vectorized busy-slot
+backend this file once covered measured at 0.91-0.99x of it and was
+removed together with numpy.  The contract it was held to still binds
+the loop that remains: a run of the fused, compiled chip loop produces
+the exact :class:`~repro.sim.results.RunResult` -- every leaf,
+including epoch records and the energy breakdown -- of the oracle's
+method-path reference (:class:`~repro.oracle.paths.MethodPathGPU`,
+every cycle through ``SM.cycle_once``, no fast-forward, no parking),
+and consumes each warp's private RNG stream at exactly the same
+points.  The tests pin that contract from these angles:
 
 * leaf-exact equality across the behavioural corners (compute, memory,
   cache) and across random seeds, sample intervals, epoch lengths and
-  dependence latencies, with ``MIN_SPAN`` forced low so bursts fire
-  aggressively instead of declining on profitability;
+  dependence latencies;
 * RNG-stream positions at every epoch boundary -- not just final
-  results -- via a recording controller, so a burst that reorders or
+  results -- via a recording controller, so a loop that reorders or
   elides ``next_op`` draws is caught at the first epoch it desyncs;
-* the incremental-counter invariant after every burst resync
-  (``debug_counters`` re-derives active/waiting from a full scan);
-* the pure-python fallback: without numpy, ``VectorGPU`` *is* the
-  scalar chip loop and :func:`default_gpu_class` degrades to ``GPU``;
+* the incremental-counter invariant (``debug_counters`` re-derives
+  active/waiting from a full scan) and fast-forward invisibility;
+* no numpy: no source file imports it, and the simulator runs with
+  numpy made unimportable;
 * the cycle-kernel lints the CI greps mirror: no scalar per-warp wake
   loops and no ``memory.cycle()`` method fallback in any compiled
   run loop.
-
-A guard test asserts bursts actually fire on the compute spec, so the
-equivalence tests cannot rot into vacuous scalar-vs-scalar checks.
 """
+
+import inspect
+import os
+import re
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import (cache_spec, compute_spec, memory_spec,
                      tiny_equalizer, tiny_sim)
-import repro.sim.vector as vector
 from repro.core.controller import Controller
 from repro.oracle.diff import diff_payloads
+from repro.oracle.paths import MethodPathGPU
 from repro.power.energy_model import compute_energy
 from repro.sim.gpu import GPU, run_kernel
-from repro.sim.vector import VectorGPU, default_gpu_class, have_numpy
 from repro.workloads import build_workload
 
-needs_numpy = pytest.mark.skipif(
-    not have_numpy(), reason="vector bursts need numpy")
-
-#: MIN_SPAN used by the equivalence tests: low enough that the tiny
-#: workloads burst constantly, so the tests exercise the planner's
-#: resync rather than its decline path.
-TEST_SPAN = 2
+SRC = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "src")
 
 
 def _run(cls, spec, sim=None, seed=7, controller=None,
-         debug_counters=False):
+         debug_counters=False, fast_forward=True):
     if sim is None:
         sim = tiny_sim()
     gpu = cls(sim, controller=controller)
+    gpu.enable_fast_forward = fast_forward
     if debug_counters:
         for sm in gpu.sms:
             sm.debug_counters = True
@@ -60,108 +61,59 @@ def _run(cls, spec, sim=None, seed=7, controller=None,
     return compute_energy(result, sim.power, sim.gpu)
 
 
-def _assert_leaf_exact(vec_run, scalar_run, label):
-    diffs = diff_payloads(vec_run.to_dict(), scalar_run.to_dict(),
-                          "vector", "scalar")
-    assert not diffs, f"{label}: vector run diverged from scalar:\n" \
+def _assert_leaf_exact(fused_run, reference_run, label):
+    diffs = diff_payloads(fused_run.to_dict(), reference_run.to_dict(),
+                          "fused", "reference")
+    assert not diffs, f"{label}: fused chip loop diverged:\n" \
         + "\n".join(diffs)
-
-
-class _BurstCounter(VectorGPU):
-    """VectorGPU that counts successful span bursts."""
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.bursts = 0
-
-    def _vector_burst(self, sm, target, bucket, interval, epoch_bound):
-        ok = super()._vector_burst(sm, target, bucket, interval,
-                                   epoch_bound)
-        if ok:
-            self.bursts += 1
-        return ok
-
-
-# ----------------------------------------------------------------------
-# Bursts actually fire (the equivalence tests are not vacuous)
-# ----------------------------------------------------------------------
-@needs_numpy
-def test_compute_spec_actually_bursts(monkeypatch):
-    monkeypatch.setattr(vector, "MIN_SPAN", TEST_SPAN)
-    sim = tiny_sim()
-    gpu = _BurstCounter(sim, controller=None)
-    gpu.run(build_workload(compute_spec(), seed=7))
-    assert gpu.bursts > 0
 
 
 # ----------------------------------------------------------------------
 # Leaf-exact equality
 # ----------------------------------------------------------------------
-@needs_numpy
 @pytest.mark.parametrize("spec_factory", [compute_spec, memory_spec,
                                           cache_spec])
-def test_vector_matches_scalar_leaf_exact(spec_factory, monkeypatch):
-    monkeypatch.setattr(vector, "MIN_SPAN", TEST_SPAN)
-    _assert_leaf_exact(_run(VectorGPU, spec_factory()),
-                       _run(GPU, spec_factory()),
+def test_vector_matches_scalar_leaf_exact(spec_factory):
+    _assert_leaf_exact(_run(GPU, spec_factory()),
+                       _run(MethodPathGPU, spec_factory()),
                        spec_factory.__name__)
 
 
-@needs_numpy
-def test_vector_matches_scalar_with_debug_counters(monkeypatch):
-    """Every burst resync re-derives the incremental counters from a
-    full warp scan and raises on mismatch."""
-    monkeypatch.setattr(vector, "MIN_SPAN", TEST_SPAN)
-    _assert_leaf_exact(
-        _run(VectorGPU, compute_spec(), debug_counters=True),
-        _run(GPU, compute_spec(), debug_counters=True),
-        "debug-counters")
+def test_vector_matches_scalar_with_debug_counters():
+    """With ``debug_counters`` on, every counter update is checked
+    against a full warp scan (raising on mismatch), and the checks
+    themselves leave the result untouched."""
+    _assert_leaf_exact(_run(GPU, compute_spec(), debug_counters=True),
+                       _run(GPU, compute_spec()),
+                       "debug-counters")
 
 
-@needs_numpy
-def test_vector_matches_scalar_without_fast_forward(monkeypatch):
-    """With chip fast-forward off, burst-parked SMs meet the scalar
-    catch-up path (negative-lag guards) instead of the calendar."""
-    monkeypatch.setattr(vector, "MIN_SPAN", TEST_SPAN)
-    sim1, sim2 = tiny_sim(), tiny_sim()
-    g1 = VectorGPU(sim1, controller=None)
-    g1.enable_fast_forward = False
-    r1 = compute_energy(g1.run(build_workload(compute_spec(), seed=7)),
-                        sim1.power, sim1.gpu)
-    g2 = GPU(sim2, controller=None)
-    g2.enable_fast_forward = False
-    r2 = compute_energy(g2.run(build_workload(compute_spec(), seed=7)),
-                        sim2.power, sim2.gpu)
-    _assert_leaf_exact(r1, r2, "no-ff")
+def test_vector_matches_scalar_without_fast_forward():
+    """With chip fast-forward off, every quiescent span is stepped
+    cycle by cycle; the result must not change."""
+    _assert_leaf_exact(_run(GPU, compute_spec(), fast_forward=False),
+                       _run(MethodPathGPU, compute_spec()),
+                       "no-ff")
 
 
-@needs_numpy
 @given(seed=st.integers(min_value=0, max_value=2 ** 16),
        interval=st.sampled_from([4, 16, 64]),
        epoch_cycles=st.sampled_from([64, 256, 1024]),
-       dep=st.sampled_from([1, 3, 17]),
-       min_span=st.sampled_from([2, 8, 32]))
+       dep=st.sampled_from([1, 3, 17]))
 @settings(max_examples=10, deadline=None)
 def test_vector_identity_across_configs(seed, interval, epoch_cycles,
-                                        dep, min_span):
-    """Any seed, any sampling/epoch geometry, any dependence latency,
-    any burst threshold: vector reproduces scalar bit for bit."""
-    old = vector.MIN_SPAN
-    vector.MIN_SPAN = min_span
-    try:
-        spec = compute_spec(dep_latency=dep, total_blocks=6,
-                            iterations=8)
-        sim1 = tiny_sim(equalizer=tiny_equalizer(
-            sample_interval=interval, epoch_cycles=epoch_cycles))
-        sim2 = tiny_sim(equalizer=tiny_equalizer(
-            sample_interval=interval, epoch_cycles=epoch_cycles))
-        _assert_leaf_exact(
-            _run(VectorGPU, spec, sim=sim1, seed=seed),
-            _run(GPU, spec, sim=sim2, seed=seed),
-            f"seed={seed}/i{interval}/e{epoch_cycles}/d{dep}"
-            f"/s{min_span}")
-    finally:
-        vector.MIN_SPAN = old
+                                        dep):
+    """Any seed, any sampling/epoch geometry, any dependence latency:
+    the fused loop reproduces the method path bit for bit."""
+    spec = compute_spec(dep_latency=dep, total_blocks=6, iterations=8)
+    sim1 = tiny_sim(equalizer=tiny_equalizer(
+        sample_interval=interval, epoch_cycles=epoch_cycles))
+    sim2 = tiny_sim(equalizer=tiny_equalizer(
+        sample_interval=interval, epoch_cycles=epoch_cycles))
+    _assert_leaf_exact(
+        _run(GPU, spec, sim=sim1, seed=seed),
+        _run(MethodPathGPU, spec, sim=sim2, seed=seed),
+        f"seed={seed}/i{interval}/e{epoch_cycles}/d{dep}")
 
 
 # ----------------------------------------------------------------------
@@ -183,72 +135,76 @@ class _RNGRecorder(Controller):
         self.epochs.append(snap)
 
 
-@needs_numpy
-def test_rng_streams_aligned_at_every_epoch(monkeypatch):
-    """A burst that consumed draws early, late, or in the wrong warp
+def test_rng_streams_aligned_at_every_epoch():
+    """A loop that consumed draws early, late, or in the wrong warp
     order desyncs some stream *mid-run*; comparing per-warp RNG states
     at every epoch boundary catches it at the first divergence, not
     just in the final result."""
-    monkeypatch.setattr(vector, "MIN_SPAN", TEST_SPAN)
     spec = compute_spec(total_blocks=6, iterations=12)
-    rec_v, rec_s = _RNGRecorder(), _RNGRecorder()
-    _run(VectorGPU, spec, controller=rec_v)
-    _run(GPU, spec, controller=rec_s)
-    assert len(rec_v.epochs) == len(rec_s.epochs) > 0
-    for i, (ev, es) in enumerate(zip(rec_v.epochs, rec_s.epochs)):
-        assert ev == es, (
+    rec_f, rec_m = _RNGRecorder(), _RNGRecorder()
+    _run(GPU, spec, controller=rec_f)
+    _run(MethodPathGPU, spec, controller=rec_m)
+    assert len(rec_f.epochs) == len(rec_m.epochs) > 0
+    for i, (ef, em) in enumerate(zip(rec_f.epochs, rec_m.epochs)):
+        assert ef == em, (
             f"per-warp RNG streams diverged at epoch {i}: "
-            f"{sorted(k for k in ev if ev[k] != es.get(k))[:4]}")
+            f"{sorted(k for k in ef if ef[k] != em.get(k))[:4]}")
 
 
 # ----------------------------------------------------------------------
-# Dispatch and fallback
+# Dispatch and numpy
 # ----------------------------------------------------------------------
-def test_default_gpu_class_prefers_vector():
-    if have_numpy():
-        assert default_gpu_class() is VectorGPU
-    else:
-        assert default_gpu_class() is GPU
-
-
-def test_default_gpu_class_degrades_without_numpy(monkeypatch):
-    monkeypatch.setattr(vector, "_np", None)
-    assert default_gpu_class() is GPU
+def test_default_gpu_class_degrades_without_numpy():
+    """With numpy made unimportable, the simulator still runs: a fresh
+    interpreter blocks the import and runs a tiny kernel end to end."""
+    tests_dir = os.path.dirname(os.path.abspath(__file__))
+    code = ("import sys\n"
+            "sys.modules['numpy'] = None\n"
+            "from helpers import compute_spec, tiny_sim\n"
+            "from repro.sim.gpu import run_kernel\n"
+            "from repro.workloads import build_workload\n"
+            "run = run_kernel(build_workload(compute_spec(), seed=7), "
+            "tiny_sim())\n"
+            "print(run.result.ticks)\n")
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join([SRC, tests_dir]))
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert int(out.stdout.strip()) == \
+        _run(GPU, compute_spec()).result.ticks
 
 
 def test_run_kernel_gpu_class_override_forces_scalar():
-    """run_kernel(gpu_class=GPU) pins the scalar loop regardless of
-    numpy availability -- the bench baseline rows depend on it."""
+    """run_kernel always runs the scalar chip loop: it takes no backend
+    switch and equals a plain ``GPU.run`` plus the energy model."""
+    assert "gpu_class" not in inspect.signature(run_kernel).parameters
     sim = tiny_sim()
-    run = run_kernel(build_workload(compute_spec(), seed=7), sim,
-                     gpu_class=GPU)
-    sim2 = tiny_sim()
-    gpu = GPU(sim2, controller=None)
-    ref = compute_energy(gpu.run(build_workload(compute_spec(), seed=7)),
-                         sim2.power, sim2.gpu)
-    _assert_leaf_exact(run, ref, "gpu_class-override")
+    run = run_kernel(build_workload(compute_spec(), seed=7), sim)
+    _assert_leaf_exact(run, _run(GPU, compute_spec()), "run_kernel")
 
 
 def test_vector_without_numpy_is_the_chip_loop():
-    """The fallback contract: no numpy, no separate code path.  The
-    class body only installs the vector loop when numpy imports, so
-    the fallback cannot drift from the scalar loop -- it *is* it."""
-    if "_loop_hook_free" in VectorGPU.__dict__:
-        assert have_numpy()
-    else:
-        assert not have_numpy()
-    # The hook-bearing variant is always the inherited chip loop: a
-    # controller observing misses forfeits the burst regime entirely.
-    assert "_loop_hook_bearing" not in VectorGPU.__dict__
+    """No module under ``src/`` imports numpy, lazily or otherwise --
+    the cold-start guard only sees import-time loads."""
+    pattern = re.compile(r"^\s*(import|from)\s+numpy\b", re.M)
+    offenders = []
+    for root, _dirs, files in os.walk(os.path.join(SRC, "repro")):
+        for name in files:
+            if name.endswith(".py"):
+                path = os.path.join(root, name)
+                with open(path) as f:
+                    if pattern.search(f.read()):
+                        offenders.append(os.path.relpath(path, SRC))
+    assert not offenders, offenders
 
 
 # ----------------------------------------------------------------------
 # Cycle-kernel lints the CI greps mirror
 # ----------------------------------------------------------------------
 def test_no_per_warp_python_loops_in_cycle_kernel():
-    """Busy-slot work in the compiled loops is either the shared
-    scalar body or a vector burst; nobody reintroduces per-warp
-    python loops into the kernel file."""
+    """Busy-slot work in the compiled loops is the shared scalar body;
+    nobody reintroduces per-warp python loops into the kernel file."""
     from repro.sim import cycle_kernel
     with open(cycle_kernel.__file__) as f:
         assert "for warp in" not in f.read()
